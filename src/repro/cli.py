@@ -97,7 +97,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import P2GO
 from repro.core.profiler import Profiler
@@ -125,34 +125,76 @@ def load_target(path: Optional[str]) -> TargetModel:
 def load_config(path: Optional[str]) -> RuntimeConfig:
     if path is None:
         return RuntimeConfig()
-    data = json.loads(Path(path).read_text())
-    config = RuntimeConfig()
-    for table, entries in data.get("entries", {}).items():
-        for entry in entries:
-            match = [
-                tuple(m) if isinstance(m, list) else m
-                for m in entry["match"]
-            ]
-            config.add_entry(
-                table,
-                match,
-                entry["action"],
-                entry.get("args", []),
-                entry.get("priority", 0),
-            )
-    for table, default in data.get("defaults", {}).items():
-        config.set_default(table, default["action"], default.get("args", []))
-    for register, index, value in data.get("register_inits", []):
-        config.init_register(register, index, value)
-    for register, algo, key, value in data.get("hashed_inits", []):
-        config.init_register_hashed(
-            register, algo, [tuple(k) for k in key], value
-        )
-    return config
+    return RuntimeConfig.from_json(json.loads(Path(path).read_text()))
 
 
 def load_trace(path: str) -> List[bytes]:
     return [record.data for record in read_pcap(path)]
+
+
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for an int that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def phase_order(text: str) -> Tuple[int, ...]:
+    """argparse ``type=`` for a comma-separated phase order."""
+    try:
+        phases = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        phases = ()
+    if not phases or any(p not in (2, 3, 4) for p in phases):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated order of phases 2, 3, 4, "
+            f"got {text!r}"
+        )
+    return phases
+
+
+def host_port(text: str) -> Tuple[str, int]:
+    """argparse ``type=`` for ``HOST:PORT`` (empty host = loopback)."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in 0-65535, got {text!r}"
+        )
+    return host or "127.0.0.1", int(port)
+
+
+def store_arg(args: argparse.Namespace):
+    """The ``store=`` knob from ``--store``/``--no-store``: a path,
+    ``False`` (off), or None (defer to ``$P2GO_STORE``)."""
+    return False if args.no_store else args.store or None
+
+
+def write_outputs(
+    args: argparse.Namespace,
+    noun: str,
+    report: str,
+    summary: dict,
+    sort_keys: bool = False,
+) -> None:
+    """Honour ``--report FILE`` and ``--json FILE``."""
+    if args.report:
+        Path(args.report).write_text(report + "\n")
+        print(f"{noun} report written to {args.report}")
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps(summary, indent=2, sort_keys=sort_keys) + "\n"
+        )
+        print(f"{noun} summary written to {args.json}")
 
 
 # ----------------------------------------------------------------------
@@ -201,21 +243,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     target = load_target(args.target)
     trace = load_trace(args.trace)
-    phases = tuple(int(p) for p in args.phases.split(","))
-    if args.no_store:
-        store = False
-    else:
-        store = args.store  # None defers to $P2GO_STORE
     result = P2GO(
         program,
         config,
         trace,
         target,
-        phases=phases,
+        phases=args.phases,
         max_redirect_fraction=args.max_redirect,
         memoize=not args.no_memo,
         workers=args.workers,
-        store=store,
+        store=store_arg(args),
         fastpath=args.fastpath,
     ).run()
     print(render_report(result))
@@ -295,33 +332,27 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    store = False if args.no_store else args.store
     fleet = run_fleet(
         specs,
-        store=store,  # None defers to $P2GO_STORE
+        store=store_arg(args),
         workers=args.workers,
         lease_probes=not args.no_lease,
     )
     report = render_fleet_report(fleet)
     print(report)
-    if args.report:
-        Path(args.report).write_text(report + "\n")
-        print(f"fleet report written to {args.report}")
-    if args.json:
-        payload = {
-            "aggregate": fleet.aggregate(),
-            "switches": [
-                {
-                    "name": switch.name,
-                    "seconds": round(switch.seconds, 3),
-                    "stages_before": switch.result.stages_before,
-                    "stages_after": switch.result.stages_after,
-                }
-                for switch in fleet.switches
-            ],
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"fleet summary written to {args.json}")
+    summary = {
+        "aggregate": fleet.aggregate(),
+        "switches": [
+            {
+                "name": switch.name,
+                "seconds": round(switch.seconds, 3),
+                "stages_before": switch.result.stages_before,
+                "stages_after": switch.result.stages_after,
+            }
+            for switch in fleet.switches
+        ],
+    }
+    write_outputs(args, "fleet", report, summary)
     return 0
 
 
@@ -374,15 +405,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
             return 2
         report = render_explore_report(result)
         print(report)
-        if args.report:
-            Path(args.report).write_text(report + "\n")
-            print(f"exploration report written to {args.report}")
-        if args.json:
-            Path(args.json).write_text(
-                json.dumps(result.as_dict(), indent=2, sort_keys=True)
-                + "\n"
-            )
-            print(f"exploration summary written to {args.json}")
+        write_outputs(
+            args, "exploration", report, result.as_dict(), sort_keys=True
+        )
         if result.aggregate()["frontier_points"] == 0:
             print(
                 "error: empty frontier — no swept design point both "
@@ -392,16 +417,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if args.no_store:
-        return sweep(False)
-    if args.store:
-        return sweep(args.store)
-    if os.environ.get("P2GO_STORE"):
-        return sweep(None)  # defer to $P2GO_STORE
-    # No store requested anywhere: cross-point reuse is the sweep's
-    # whole economy, so share an ephemeral store for this run.
-    with tempfile.TemporaryDirectory(prefix="p2go-explore-") as tmp:
-        return sweep(tmp)
+    store = store_arg(args)
+    if store is None and not os.environ.get("P2GO_STORE"):
+        # No store requested anywhere: cross-point reuse is the sweep's
+        # whole economy, so share an ephemeral store for this run.
+        with tempfile.TemporaryDirectory(prefix="p2go-explore-") as tmp:
+            return sweep(tmp)
+    return sweep(store)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -435,13 +457,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
     else:
-        from repro.programs import example_firewall
+        from repro.core.fleet import family_inputs
 
-        program = example_firewall.build_program()
-        config = example_firewall.runtime_config()
-        target = example_firewall.TARGET
-        baseline = example_firewall.make_trace(
-            args.baseline_packets, seed=args.seed
+        program, config, baseline, target = family_inputs(
+            "example_firewall", args.baseline_packets, args.seed
         )
 
     if args.feed == "generator":
@@ -464,23 +483,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
             sys.stdin if args.lines == "-" else args.lines
         )
     else:  # socket
-        host, _, port = args.listen.rpartition(":")
-        feed = SocketFeed(host or "127.0.0.1", int(port))
+        feed = SocketFeed(*args.listen)
         print(
             "listening on {}:{} (line format: '<hex packet> "
             "[ingress_port]')".format(*feed.address)
         )
 
-    store = False if args.no_store else args.store
     optimizer = ContinuousOptimizer(
         program,
         config,
         baseline,
         target,
-        phases=tuple(int(p) for p in args.phases.split(",")),
+        phases=args.phases,
         window=args.window,
         hit_rate_tolerance=args.tolerance,
-        store=store,  # None defers to $P2GO_STORE
+        store=store_arg(args),
         workers=args.workers,
         log=print if not args.quiet else None,
     )
@@ -489,14 +506,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     report = render_serve_report(result)
     print(report)
-    if args.report:
-        Path(args.report).write_text(report + "\n")
-        print(f"serve report written to {args.report}")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(result.stats.as_dict(), indent=2) + "\n"
-        )
-        print(f"serve stats written to {args.json}")
+    write_outputs(args, "serve", report, result.stats.as_dict())
     if args.output:
         from repro.p4.dsl import print_program as print_dsl
 
@@ -505,42 +515,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if result.stats.misprocessed == 0 else 1
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.programs import (
-        cgnat,
-        ddos_mitigation,
-        example_firewall,
-        failure_detection,
-        load_balancer,
-        nat_gre,
-        sourceguard,
-        telemetry,
-    )
+#: Built-in scenarios ``demo`` runs (program families under
+#: :mod:`repro.programs`).
+DEMOS = (
+    "cgnat", "ddos_mitigation", "example_firewall", "failure_detection",
+    "load_balancer", "nat_gre", "sourceguard", "telemetry",
+)
 
-    modules = {
-        "cgnat": cgnat,
-        "ddos_mitigation": ddos_mitigation,
-        "example_firewall": example_firewall,
-        "load_balancer": load_balancer,
-        "nat_gre": nat_gre,
-        "sourceguard": sourceguard,
-        "failure_detection": failure_detection,
-        "telemetry": telemetry,
-    }
-    if args.name not in modules:
+
+def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core.fleet import family_inputs
+
+    if args.name not in DEMOS:
         print(f"unknown demo {args.name!r}; available: "
-              + ", ".join(sorted(modules)), file=sys.stderr)
+              + ", ".join(DEMOS), file=sys.stderr)
         return 2
-    module = modules[args.name]
-    program = module.build_program()
-    config = (
-        module.runtime_config(program)
-        if args.name == "sourceguard"
-        else module.runtime_config()
-    )
-    result = P2GO(
-        program, config, module.make_trace(), module.TARGET
-    ).run()
+    result = P2GO(*family_inputs(args.name, trace_seed=None)).run()
     print(stage_table(result))
     print()
     for obs in result.observations.optimizations():
@@ -603,6 +593,50 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # --store/--no-store, shared by every command that runs the
+    # pipeline; the pair is mutually exclusive (store_arg() resolves it).
+    store_parent = argparse.ArgumentParser(add_help=False)
+    store_flags = store_parent.add_mutually_exclusive_group()
+    store_flags.add_argument(
+        "--store",
+        metavar="PATH",
+        default=None,
+        help="persistent session store root every probe reads and "
+        "writes (default: $P2GO_STORE, then no store — explore then "
+        "uses an ephemeral per-run store); a warm run over unchanged "
+        "inputs performs zero compiles and zero replays",
+    )
+    store_flags.add_argument(
+        "--no-store",
+        action="store_true",
+        help="run without a persistent store even when $P2GO_STORE is "
+        "set",
+    )
+    # --report/--json, shared by the multi-run commands (write_outputs()).
+    outputs_parent = argparse.ArgumentParser(add_help=False)
+    outputs_parent.add_argument(
+        "--report", metavar="FILE", help="also write the report here"
+    )
+    outputs_parent.add_argument(
+        "--json", metavar="FILE",
+        help="write the run's summary as JSON (explore: the canonical, "
+        "worker-count-invariant points/frontier/breakpoints/aggregate)",
+    )
+    # fleet and explore: many runs fanned out over one job pool.
+    jobs_parent = argparse.ArgumentParser(
+        add_help=False, parents=[store_parent, outputs_parent]
+    )
+    jobs_parent.add_argument(
+        "--workers", type=int_at_least(1), default=None,
+        help="job pool size (default: $P2GO_WORKERS, then 1; results "
+        "and JSON are identical for any value)",
+    )
+    jobs_parent.add_argument(
+        "--packets", type=int, default=None,
+        help="trace length per switch or program (default: each "
+        "family's standard trace)",
+    )
+
     p_compile = sub.add_parser("compile", help="compile and show stage map")
     p_compile.add_argument("program", help="P4 DSL file")
     p_compile.add_argument("--target", help="target model JSON")
@@ -636,12 +670,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_profile.set_defaults(func=cmd_profile)
 
-    p_opt = sub.add_parser("optimize", help="run the P2GO pipeline")
+    p_opt = sub.add_parser(
+        "optimize", parents=[store_parent], help="run the P2GO pipeline"
+    )
     p_opt.add_argument("program")
     p_opt.add_argument("--config", help="runtime config JSON")
     p_opt.add_argument("--trace", required=True, help="pcap trace")
     p_opt.add_argument("--target", help="target model JSON")
-    p_opt.add_argument("--phases", default="2,3,4",
+    p_opt.add_argument("--phases", type=phase_order, default="2,3,4",
                        help="comma-separated phase order (default 2,3,4)")
     p_opt.add_argument("--max-redirect", type=float, default=0.10,
                        help="controller-load budget (default 0.10)")
@@ -653,25 +689,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--workers",
-        type=int,
+        type=int_at_least(1),
         default=None,
         help="evaluate independent candidate probes with this many "
         "workers (default: $P2GO_WORKERS, then 1; the optimization "
         "result is identical for any value)",
-    )
-    p_opt.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="warm-start from (and persist probes to) the cross-run "
-        "session store rooted here (default: $P2GO_STORE, then no "
-        "store); a second run over an unchanged program+trace performs "
-        "zero compiles and zero replays",
-    )
-    p_opt.add_argument(
-        "--no-store",
-        action="store_true",
-        help="memory-only run even when $P2GO_STORE is set",
     )
     p_opt.add_argument(
         "--fastpath",
@@ -689,34 +711,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "store", help="inspect or clear the persistent session store"
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
-    p_stats = store_sub.add_parser(
-        "stats", help="print store census (entries, size, layout)"
-    )
-    p_stats.add_argument(
+    root_parent = argparse.ArgumentParser(add_help=False)
+    root_parent.add_argument(
         "--store",
         metavar="PATH",
         default=None,
         help="store root (default: $P2GO_STORE, then ~/.cache/p2go)",
     )
-    p_stats.set_defaults(func=cmd_store_stats)
-    p_clear = store_sub.add_parser(
-        "clear", help="delete every stored entry (the layout survives)"
-    )
-    p_clear.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="store root (default: $P2GO_STORE, then ~/.cache/p2go)",
-    )
-    p_clear.set_defaults(func=cmd_store_clear)
+    store_sub.add_parser(
+        "stats", parents=[root_parent],
+        help="print store census (entries, size, layout)",
+    ).set_defaults(func=cmd_store_stats)
+    store_sub.add_parser(
+        "clear", parents=[root_parent],
+        help="delete every stored entry (the layout survives)",
+    ).set_defaults(func=cmd_store_clear)
 
     p_fleet = sub.add_parser(
         "fleet",
+        parents=[jobs_parent],
         help="optimize a fabric of built-in switches over one shared "
         "store",
     )
     p_fleet.add_argument(
-        "--size", type=int, default=8,
+        "--size", type=int_at_least(1), default=8,
         help="number of switches in the fabric (default 8)",
     )
     p_fleet.add_argument(
@@ -730,39 +748,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "(default 0)",
     )
     p_fleet.add_argument(
-        "--packets", type=int, default=None,
-        help="per-switch trace length (default: each family's "
-        "standard trace)",
-    )
-    p_fleet.add_argument(
-        "--workers", type=int, default=None,
-        help="coordinator process-pool size (default: $P2GO_WORKERS, "
-        "then 1; per-switch results are identical for any value)",
-    )
-    p_fleet.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="shared store root every switch reads and writes "
-        "(default: $P2GO_STORE, then no store)",
-    )
-    p_fleet.add_argument(
-        "--no-store", action="store_true",
-        help="run the fabric without a shared store (no cross-switch "
-        "reuse) even when $P2GO_STORE is set",
-    )
-    p_fleet.add_argument(
         "--no-lease", action="store_true",
         help="skip the store's cross-process probe leases (concurrent "
         "switches may duplicate in-flight probes)",
-    )
-    p_fleet.add_argument("--report", help="write the fleet report here")
-    p_fleet.add_argument(
-        "--json", metavar="FILE",
-        help="write the aggregate + per-switch summary as JSON",
     )
     p_fleet.set_defaults(func=cmd_fleet)
 
     p_explore = sub.add_parser(
         "explore",
+        parents=[jobs_parent],
         help="sweep a design space (shapes x orders x policies) and "
         "extract the Pareto frontier",
     )
@@ -796,39 +790,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--trace-seed", type=int, default=0,
         help="per-program traffic seed (default 0)",
     )
-    p_explore.add_argument(
-        "--packets", type=int, default=None,
-        help="per-program trace length (default: each family's "
-        "standard trace)",
-    )
-    p_explore.add_argument(
-        "--workers", type=int, default=None,
-        help="coordinator process-pool size (default: $P2GO_WORKERS, "
-        "then 1; results and JSON are identical for any value)",
-    )
-    p_explore.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="shared store root every point reads and writes "
-        "(default: $P2GO_STORE, then an ephemeral per-run store — "
-        "cross-point reuse always on)",
-    )
-    p_explore.add_argument(
-        "--no-store", action="store_true",
-        help="run every point storeless (no cross-point reuse)",
-    )
-    p_explore.add_argument(
-        "--report", metavar="FILE",
-        help="write the exploration report here",
-    )
-    p_explore.add_argument(
-        "--json", metavar="FILE",
-        help="write the canonical sweep summary (points, frontier, "
-        "breakpoints, aggregate) as JSON",
-    )
     p_explore.set_defaults(func=cmd_explore)
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[store_parent, outputs_parent],
         help="continuous-optimization daemon: serve, monitor, "
         "re-optimize on drift, equivalence-gate, swap",
     )
@@ -864,7 +830,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="line-feed source file, '-' for stdin (--feed lines)",
     )
     p_serve.add_argument(
-        "--listen", metavar="HOST:PORT", default="127.0.0.1:0",
+        "--listen", metavar="HOST:PORT", type=host_port,
+        default="127.0.0.1:0",
         help="socket-feed bind address (--feed socket; port 0 picks a "
         "free port and prints it)",
     )
@@ -888,12 +855,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="windowed hit-rate drift tolerance (default 0.10)",
     )
     p_serve.add_argument(
-        "--phases", default="2,3",
+        "--phases", type=phase_order, default="2,3",
         help="phases each (re-)optimization runs (default 2,3: the "
         "strict promotion gate rejects phase-4 offloads by design)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int_at_least(0), default=1,
         help="0: re-optimize inline in the ingest loop (deterministic "
         "counters); N>=1: re-optimize in a worker thread while "
         "traffic keeps flowing, probing candidates with N workers "
@@ -913,23 +880,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="built-in baseline trace length (default 4000)",
     )
     p_serve.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="persistent session store warm-starting every "
-        "re-optimization (default: $P2GO_STORE, then no store)",
-    )
-    p_serve.add_argument(
-        "--no-store", action="store_true",
-        help="memory-only serving even when $P2GO_STORE is set",
-    )
-    p_serve.add_argument(
         "--quiet", action="store_true",
         help="suppress per-event log lines (the report still prints)",
-    )
-    p_serve.add_argument("--report", help="write the serve report here")
-    p_serve.add_argument(
-        "--json", metavar="FILE",
-        help="write the serve stats (counters, latencies, events) as "
-        "JSON",
     )
     p_serve.add_argument(
         "-o", "--output",

@@ -29,6 +29,11 @@ The per-switch sessions run serial probes (``workers=1``): fleet
 parallelism is at switch granularity, which avoids nested process
 pools and keeps every child process a pure function of its spec.
 
+:func:`run_jobs` is the single fan-out point: :func:`run_fleet` is
+one job per switch plus the fabric roll-up, and the design-space
+explorer (:mod:`repro.explore.explorer`) one job per point plus its
+frontier.
+
 ``tests/test_fleet.py`` pins the contract; ``benchmarks/bench_fleet.py``
 measures fleet-vs-independent wall clock and cross-switch reuse and
 gates both in CI via the committed ``BENCH_fleet.json``.
@@ -36,19 +41,21 @@ gates both in CI via the committed ``BENCH_fleet.json``.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import P2GOResult, SwitchRun
 from repro.core.session import (
-    OptimizationContext,
+    SessionCounters,
     config_fingerprint,
+    make_pool,
     program_fingerprint,
     resolve_workers,
 )
-from repro.core.store import DEFAULT_LEASE_TTL, SessionStore, resolve_store
+from repro.core.store import SessionStore, resolve_store
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
@@ -58,10 +65,12 @@ __all__ = [
     "DEFAULT_FAMILIES",
     "FleetResult",
     "FleetSwitch",
+    "JobResults",
     "SwitchSpec",
     "build_fabric",
     "family_inputs",
     "run_fleet",
+    "run_jobs",
     "switch_fingerprint",
 ]
 
@@ -86,6 +95,7 @@ class SwitchSpec:
     target: TargetModel
     phases: Tuple[int, ...] = (2, 3, 4)
     fastpath: Optional[bool] = None
+    candidate_policy: Optional[str] = None
 
     def build_run(self, lease_probes: bool = False) -> SwitchRun:
         """This spec as an executable :class:`SwitchRun` (serial
@@ -100,27 +110,38 @@ class SwitchSpec:
             workers=1,
             fastpath=self.fastpath,
             lease_probes=lease_probes,
+            candidate_policy=self.candidate_policy,
         )
+
+    def run(
+        self, store: Optional[SessionStore], lease_probes: bool = True
+    ) -> P2GOResult:
+        """This switch end to end against ``store`` — the fleet's
+        :func:`run_jobs` task."""
+        return self.build_run(lease_probes=lease_probes).execute(store=store)
 
 
 def family_inputs(
-    family: str, packets: Optional[int] = None, trace_seed: int = 0
+    family: str, packets: Optional[int] = None,
+    trace_seed: Optional[int] = 0,
 ) -> Tuple[Program, RuntimeConfig, List[TracePacket], TargetModel]:
     """Concrete pipeline inputs for one evaluation-program family:
     ``(program, config, trace, target)``.  ``packets`` overrides the
     family's default trace length; ``trace_seed`` feeds its traffic
-    generator.  Shared by the fleet builder and the design-space
-    explorer so both sweep the same program corpus."""
+    generator (None keeps the family's own default seed).  Shared by
+    the fleet builder, the design-space explorer and the CLI's built-in
+    scenarios so all of them run the same program corpus."""
     module = importlib.import_module(f"repro.programs.{family}")
     program = module.build_program()
     try:
         config = module.runtime_config(program)
     except TypeError:
         config = module.runtime_config()
+    seed = {} if trace_seed is None else {"seed": trace_seed}
     if packets is None:
-        trace = module.make_trace(seed=trace_seed)
+        trace = module.make_trace(**seed)
     else:
-        trace = module.make_trace(packets, seed=trace_seed)
+        trace = module.make_trace(packets, **seed)
     return program, config, trace, module.TARGET
 
 
@@ -189,7 +210,6 @@ class FleetResult:
         cross-switch disk reuse, lease contention, wall clock."""
         if self._aggregate is not None:
             return self._aggregate
-        calls = executions = disk_hits = 0
         lease = {
             "lease_claims": 0,
             "lease_waits": 0,
@@ -201,15 +221,6 @@ class FleetResult:
             result = switch.result
             stages_before += result.stages_before
             stages_after += result.stages_after
-            counters = result.session_counters
-            if counters is not None:
-                calls += counters.compile_calls + counters.profile_calls
-                executions += (
-                    counters.compile_executions + counters.profile_executions
-                )
-                disk_hits += (
-                    counters.compile_disk_hits + counters.profile_disk_hits
-                )
             if result.store_stats is not None:
                 store_counters = result.store_stats["counters"]
                 for key in lease:
@@ -222,10 +233,9 @@ class FleetResult:
             "stages_before": stages_before,
             "stages_after": stages_after,
             "stages_reclaimed": stages_before - stages_after,
-            "probe_calls": calls,
-            "probe_executions": executions,
-            "probe_disk_hits": disk_hits,
-            "disk_reuse_rate": disk_hits / calls if calls else 0.0,
+            **SessionCounters.provenance(
+                switch.result.session_counters for switch in self.switches
+            ),
             "switch_seconds": round(
                 sum(switch.seconds for switch in self.switches), 3
             ),
@@ -247,36 +257,64 @@ def switch_fingerprint(result: P2GOResult) -> Tuple:
     )
 
 
-def _resolve_fleet_store(
-    store: Union[SessionStore, str, bool, None],
-) -> Optional[str]:
-    """The shared store *root* (a path crosses process boundaries; each
-    worker opens its own :class:`SessionStore` on it) — semantics match
-    :func:`~repro.core.store.resolve_store`."""
-    resolved = resolve_store(store)
-    return None if resolved is None else str(resolved.root)
+@dataclass
+class JobResults:
+    """What :func:`run_jobs` hands back, in submission order: each
+    job's task result and its seconds (timed where it ran)."""
+
+    results: List
+    seconds: List[float]
+    wall_seconds: float
+    workers: int
+    store_root: Optional[str]
 
 
-def _fleet_task(
-    spec: SwitchSpec,
-    store_root: Optional[str],
-    lease_probes: bool,
-    lease_ttl: float,
-) -> FleetSwitch:
-    """One switch end to end (runs inside a pool worker): open this
-    process's handle on the shared store, execute, time it."""
+def _run_job(
+    task: Callable, spec, store_root: Optional[str]
+) -> Tuple[object, float]:
+    """One timed job, with its own handle on the shared store."""
     t0 = time.perf_counter()
-    store = (
-        SessionStore(store_root, lease_ttl=lease_ttl)
-        if store_root is not None
-        else None
-    )
-    run = spec.build_run(lease_probes=lease_probes and store is not None)
-    result = run.execute(store=store)
-    return FleetSwitch(
-        name=spec.name,
-        result=result,
-        seconds=time.perf_counter() - t0,
+    store = SessionStore(store_root) if store_root is not None else None
+    result = task(spec, store)
+    return result, time.perf_counter() - t0
+
+
+def run_jobs(
+    specs: Sequence,
+    task: Callable[[object, Optional[SessionStore]], object],
+    store: Union[SessionStore, str, bool, None] = None,
+    workers: Optional[int] = None,
+) -> JobResults:
+    """Run ``task(spec, store_handle)`` for every spec: the single
+    fan-out point for fleet switches and design-space points.
+
+    ``store`` (:func:`~repro.core.store.resolve_store` semantics) is
+    resolved to a root once; each job opens its own handle on it where
+    it runs, so per-job store counters stay per job.  ``workers`` (None
+    → ``$P2GO_WORKERS``, then 1) sizes a :func:`make_pool` pool; one
+    worker or one spec runs inline.  Results merge in **submission
+    order**, independent of the worker count.
+    """
+    specs = list(specs)
+    workers = resolve_workers(workers)
+    resolved = resolve_store(store)
+    store_root = None if resolved is None else str(resolved.root)
+    t0 = time.perf_counter()
+    if workers == 1 or len(specs) <= 1:
+        done = [_run_job(task, spec, store_root) for spec in specs]
+    else:
+        with make_pool(min(workers, len(specs))) as pool:
+            futures = [
+                pool.submit(_run_job, task, spec, store_root)
+                for spec in specs
+            ]
+            done = [future.result() for future in futures]
+    return JobResults(
+        results=[result for result, _ in done],
+        seconds=[seconds for _, seconds in done],
+        wall_seconds=time.perf_counter() - t0,
+        workers=workers,
+        store_root=store_root,
     )
 
 
@@ -285,50 +323,27 @@ def run_fleet(
     store: Union[SessionStore, str, bool, None] = None,
     workers: Optional[int] = None,
     lease_probes: bool = True,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> FleetResult:
-    """Optimize a fabric of switches against one shared store.
-
-    ``specs`` run on a process pool of ``workers`` (None defers to
-    ``$P2GO_WORKERS``, then 1 — the serial path; platforms without
-    multiprocessing fall back to threads exactly like the session's
-    batch probes).  Results are merged in **submission order**, so the
-    returned per-switch results are independent of the worker count.
-
-    ``store`` follows :func:`~repro.core.store.resolve_store` semantics
-    (instance / path / ``None`` → ``$P2GO_STORE`` / ``False`` → off);
-    every worker process opens its own handle on the same root.
-    ``lease_probes`` (default on) dedupes in-flight probes across those
-    processes through store-level leases; it is meaningless — and
-    disabled — without a store.
-    """
+    """Optimize a fabric against one shared store: one :func:`run_jobs`
+    job per switch (``store``/``workers`` as there).  ``lease_probes``
+    dedupes in-flight probes across worker processes through store
+    leases (disabled without a store)."""
     specs = list(specs)
-    workers = resolve_workers(workers)
-    store_root = _resolve_fleet_store(store)
-    t0 = time.perf_counter()
-    if workers == 1 or len(specs) <= 1:
-        switches = [
-            _fleet_task(spec, store_root, lease_probes, lease_ttl)
-            for spec in specs
-        ]
-    else:
-        pool = OptimizationContext._make_pool(
-            min(workers, len(specs)), use_processes=True
-        )
-        try:
-            futures = [
-                pool.submit(
-                    _fleet_task, spec, store_root, lease_probes, lease_ttl
-                )
-                for spec in specs
-            ]
-            switches = [future.result() for future in futures]
-        finally:
-            pool.shutdown(wait=True)
-    return FleetResult(
-        switches=switches,
-        wall_seconds=time.perf_counter() - t0,
+    jobs = run_jobs(
+        specs,
+        functools.partial(SwitchSpec.run, lease_probes=lease_probes),
+        store=store,
         workers=workers,
-        store_root=store_root,
-        lease_probes=lease_probes and store_root is not None,
+    )
+    return FleetResult(
+        switches=[
+            FleetSwitch(name=spec.name, result=result, seconds=seconds)
+            for spec, result, seconds in zip(
+                specs, jobs.results, jobs.seconds
+            )
+        ],
+        wall_seconds=jobs.wall_seconds,
+        workers=jobs.workers,
+        store_root=jobs.store_root,
+        lease_probes=lease_probes and jobs.store_root is not None,
     )

@@ -20,10 +20,10 @@ the seed ``if/elif`` orchestrator, which is kept verbatim in
 
 The run *lifecycle* — build the passes, create or adopt a session, wire
 its trace/store, run the phases, flush and close — is its own unit:
-:class:`SwitchRun`.  :class:`P2GO` is the single-switch convenience
-wrapper on top of it; the fleet coordinator
-(:mod:`repro.core.fleet`) drives many :class:`SwitchRun`\\ s, one per
-switch of a fabric, against one shared persistent store.
+:class:`SwitchRun`.  :class:`P2GO` is its single-switch subclass;
+the fleet coordinator and the design-space explorer drive many
+:class:`SwitchRun`\\ s through one job runner
+(:func:`repro.core.fleet.run_jobs`) against one shared persistent store.
 """
 
 from __future__ import annotations
@@ -131,22 +131,43 @@ class P2GOResult:
 class SwitchRun:
     """One switch's optimization lifecycle as a reusable unit.
 
-    This is the run lifecycle that used to be embedded in
-    ``P2GO.run()``: build the requested passes, create (or adopt and
-    re-wire) an :class:`~repro.core.session.OptimizationContext`, run
-    the phases, flush the store, close what it owns.  Extracting it
-    breaks the one-run-per-object assumption: a single process — or a
-    fleet coordinator's worker pool (:mod:`repro.core.fleet`) — can
-    hold many :class:`SwitchRun` units, execute each against its own
-    fresh session or a shared one, and point them all at one persistent
-    store.
+    Build the requested passes, create (or adopt and re-wire) an
+    :class:`~repro.core.session.OptimizationContext`, run the phases,
+    flush the store, close what it owns.  A single process — or a job
+    runner's worker pool (:func:`repro.core.fleet.run_jobs`) — can hold
+    many :class:`SwitchRun` units, execute each against its own fresh
+    session or a shared one, and point them all at one persistent
+    store.  :class:`P2GO` is the single-switch subclass that adds the
+    ``session``/``store`` knobs.
 
-    ``name`` labels the switch in fleet reports (defaults to the
-    program name).  ``lease_probes=True`` opts the run's session into
-    the store's cross-process probe leases, so concurrent runs in other
-    processes never execute the same fingerprinted probe twice (see
-    :meth:`~repro.core.store.SessionStore.claim_probe`).  All other
-    parameters mean exactly what they mean on :class:`P2GO`.
+    Parameters mirror the knobs the paper describes: which ``phases``
+    run and in what order, how many dependencies to remove, how many
+    resizes to accept, the minimum stage savings and controller-load
+    ceiling for offloading, and the ``review_hook`` through which a
+    programmer can veto changes.  ``name`` labels the switch in fleet
+    reports (defaults to the program name).  ``candidate_policy``
+    orders phase 3's resize candidates
+    (:func:`~repro.core.phase_memory.resolve_candidate_policy`).
+
+    ``memoize=False`` disables the session's memo cache (every probe
+    recompiles and re-replays — the benchmark's reference mode).
+    ``workers`` sets how many candidates the phases probe concurrently
+    (None defers to the ``P2GO_WORKERS`` environment variable, then to
+    1 — the serial path; the result is identical either way).
+
+    ``fastpath`` opts the profiling replays into the exec-compiled
+    whole-pipeline fast path (:mod:`repro.sim.fastpath`): ``True``/
+    ``False`` force it, ``None`` (the default) defers to
+    ``$P2GO_FASTPATH``.  Fast-path results are bit-identical to the
+    cached engine's, so this only changes replay speed; whether it
+    engaged (and why not) rides along on ``P2GOResult.fastpath`` /
+    ``fastpath_reason``.
+
+    ``lease_probes=True`` opts the run's session into the store's
+    cross-process probe leases, so concurrent runs in other processes
+    never execute the same fingerprinted probe twice (see
+    :meth:`~repro.core.store.SessionStore.claim_probe`; it changes who
+    pays for a probe, never the result).
     """
 
     def __init__(
@@ -155,6 +176,7 @@ class SwitchRun:
         config: RuntimeConfig,
         trace: Sequence[TracePacket],
         target: TargetModel = DEFAULT_TARGET,
+        *,
         name: Optional[str] = None,
         phases: Sequence[int] = (2, 3, 4),
         max_dependency_removals: int = 8,
@@ -376,25 +398,13 @@ class SwitchRun:
         )
 
 
-class P2GO:
-    """Profile-guided optimizer for P4 programs.
-
-    Parameters mirror the knobs the paper describes: which phases run, how
-    many dependencies to remove, how many resizes to accept, the minimum
-    stage savings and controller-load ceiling for offloading, and the
-    review hook through which a programmer can veto changes.  The run
-    lifecycle itself lives in :class:`SwitchRun`; this class is the
-    single-switch wrapper that resolves the ``session``/``store`` knobs
-    the way library callers expect.
+class P2GO(SwitchRun):
+    """Profile-guided optimizer for P4 programs: one :class:`SwitchRun`
+    plus the ``session``/``store`` knobs library callers expect.
 
     ``session`` lets several runs (or a run plus baselines/online
     monitoring) share one compile/profile cache; by default each run gets
     a fresh :class:`~repro.core.session.OptimizationContext`.
-    ``memoize=False`` disables the cache (every probe recompiles and
-    re-replays — the benchmark's reference mode).  ``workers`` sets how
-    many candidates the phases probe concurrently (None defers to the
-    ``P2GO_WORKERS`` environment variable, then to 1 — the serial path;
-    the result is identical either way).
 
     ``store`` warm-starts the run from a persistent cross-run cache
     (:class:`~repro.core.store.SessionStore`): pass a store instance or
@@ -404,84 +414,23 @@ class P2GO:
     program + config + trace is served entirely from disk — zero
     compiles, zero replays.  When a ``session`` is injected its own
     store (or lack of one) is respected and ``store`` is ignored.
-    ``lease_probes=True`` additionally coordinates probe executions
-    with concurrent runs in *other processes* through store-level
-    leases (the fleet coordinator's dedup mechanism; it changes who
-    pays for a probe, never the result).
-
-    ``fastpath`` opts the profiling replays into the exec-compiled
-    whole-pipeline fast path (:mod:`repro.sim.fastpath`): ``True``/
-    ``False`` force it, ``None`` (the default) defers to
-    ``$P2GO_FASTPATH``.  Fast-path results are bit-identical to the
-    cached engine's, so this only changes replay speed; whether it
-    engaged (and why not) rides along on ``P2GOResult.fastpath`` /
-    ``fastpath_reason``.
     """
 
     def __init__(
         self,
-        program: Program,
-        config: RuntimeConfig,
-        trace: Sequence[TracePacket],
-        target: TargetModel = DEFAULT_TARGET,
-        phases: Sequence[int] = (2, 3, 4),
-        max_dependency_removals: int = 8,
-        max_memory_reductions: int = 1,
-        offload_min_stage_savings: int = 1,
-        max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
-        review_hook: Optional[ReviewHook] = None,
+        *args,
         session: Optional[OptimizationContext] = None,
-        memoize: bool = True,
-        workers: Optional[int] = None,
         store=None,
-        fastpath: Optional[bool] = None,
-        lease_probes: bool = False,
-        candidate_policy: Optional[str] = None,
+        **kwargs,
     ):
-        self.switch_run = SwitchRun(
-            program,
-            config,
-            trace,
-            target,
-            phases=phases,
-            max_dependency_removals=max_dependency_removals,
-            max_memory_reductions=max_memory_reductions,
-            offload_min_stage_savings=offload_min_stage_savings,
-            max_redirect_fraction=max_redirect_fraction,
-            review_hook=review_hook,
-            memoize=memoize,
-            workers=workers,
-            fastpath=fastpath,
-            lease_probes=lease_probes,
-            candidate_policy=candidate_policy,
-        )
-        # Mirror the normalized inputs (the fastpath knob may have
-        # cloned the config) so callers keep seeing the familiar
-        # attributes.
-        self.program = self.switch_run.program
-        self.config = self.switch_run.config
-        self.trace = self.switch_run.trace
-        self.target = self.switch_run.target
-        self.phases = self.switch_run.phases
-        self.max_dependency_removals = max_dependency_removals
-        self.max_memory_reductions = max_memory_reductions
-        self.offload_min_stage_savings = offload_min_stage_savings
-        self.max_redirect_fraction = max_redirect_fraction
-        self.review_hook = review_hook
+        super().__init__(*args, **kwargs)
         self.session = session
-        self.memoize = memoize
-        self.workers = workers
         self.store = store
-
-    # ------------------------------------------------------------------
-    def build_passes(self) -> List[OptimizationPass]:
-        """The requested phase order as configured pass instances."""
-        return self.switch_run.build_passes()
 
     def run(self) -> P2GOResult:
         if self.session is not None:
-            return self.switch_run.execute(session=self.session)
-        return self.switch_run.execute(store=resolve_store(self.store))
+            return self.execute(session=self.session)
+        return self.execute(store=resolve_store(self.store))
 
 
 def optimize(

@@ -298,9 +298,9 @@ class Profiler:
             run = self.run(packets)
             return run.profile, run.perf
 
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.core.session import make_pool
 
-        with ProcessPoolExecutor(max_workers=len(shard_indices)) as pool:
+        with make_pool(len(shard_indices)) as pool:
             futures = [
                 pool.submit(
                     _profile_shard_task,

@@ -14,9 +14,10 @@ and the cross-point reuse the shared store bought.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.pipeline import P2GOResult
+from repro.core.session import SessionCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> report)
     from repro.core.fleet import FleetResult
@@ -258,13 +259,12 @@ def render_fleet_report(fleet: "FleetResult") -> str:
         result = switch.result
         path = " -> ".join(str(o.stages) for o in result.outcomes)
         provenance = ""
-        counters = result.session_counters
-        if counters is not None:
+        if result.session_counters is not None:
+            p = SessionCounters.provenance([result.session_counters])
+            disk, executed = p["probe_disk_hits"], p["probe_executions"]
             provenance = (
-                f"  [memo {counters.compile_hits + counters.profile_hits}"
-                f" / disk {counters.compile_disk_hits + counters.profile_disk_hits}"
-                f" / executed "
-                f"{counters.compile_executions + counters.profile_executions}]"
+                f"  [memo {p['probe_calls'] - disk - executed}"
+                f" / disk {disk} / executed {executed}]"
             )
         lines.append(
             f"{switch.name:<{name_width}}  stages {path:<20} "
@@ -275,30 +275,16 @@ def render_fleet_report(fleet: "FleetResult") -> str:
         f"stages reclaimed: {agg['stages_reclaimed']} "
         f"({agg['stages_before']} -> {agg['stages_after']} fabric-wide)"
     )
-    lines.append(
-        f"probes: {agg['probe_calls']} asked, "
-        f"{agg['probe_executions']} executed, "
-        f"{agg['probe_disk_hits']} answered by the shared store "
-        f"(cross-switch reuse {agg['disk_reuse_rate']:.1%})"
-    )
+    leases = []
     if fleet.lease_probes:
-        lines.append(
+        leases.append(
             f"leases: {agg['lease_claims']} claimed, "
             f"{agg['lease_waits']} contended waits, "
             f"{agg['lease_wait_hits']} resolved as disk hits, "
             f"{agg['leases_reaped']} stale leases reaped"
         )
-    if fleet.store_root is not None:
-        lines.append(f"shared store: {fleet.store_root}")
-    speedup = (
-        agg["switch_seconds"] / agg["wall_seconds"]
-        if agg["wall_seconds"] > 0
-        else 0.0
-    )
-    lines.append(
-        f"wall clock: {agg['wall_seconds']:.2f}s for the fleet vs "
-        f"{agg['switch_seconds']:.2f}s of per-switch work "
-        f"({speedup:.2f}x)"
+    lines += _shared_store_tail(
+        agg, "switch", "fleet", fleet, agg["switch_seconds"], leases
     )
     return "\n".join(lines)
 
@@ -365,22 +351,33 @@ def render_explore_report(explore: "ExploreResult") -> str:
             f"infeasible points: {agg['infeasible']} (program cannot be "
             "allocated on the shape at all)"
         )
-    lines.append(
+    lines += _shared_store_tail(
+        agg, "point", "sweep", explore,
+        sum(outcome.seconds for outcome in explore.outcomes),
+    )
+    return "\n".join(lines)
+
+
+def _shared_store_tail(
+    agg: Dict, unit: str, label: str, run, work_seconds: float, extra=()
+) -> List[str]:
+    """The lines a fleet or explore report ends with: probe provenance
+    (``agg`` holds :meth:`SessionCounters.provenance`'s keys), any
+    ``extra`` lines, the shared store, and ``run``'s wall clock against
+    the summed per-``unit`` work."""
+    wall = run.wall_seconds
+    lines = [
         f"probes: {agg['probe_calls']} asked, "
         f"{agg['probe_executions']} executed, "
         f"{agg['probe_disk_hits']} answered by the shared store "
-        f"(cross-point reuse {agg['disk_reuse_rate']:.1%})"
-    )
-    if explore.store_root is not None:
-        lines.append(f"shared store: {explore.store_root}")
-    point_seconds = sum(outcome.seconds for outcome in explore.outcomes)
-    speedup = (
-        point_seconds / explore.wall_seconds
-        if explore.wall_seconds > 0
-        else 0.0
-    )
+        f"(cross-{unit} reuse {agg['disk_reuse_rate']:.1%})",
+        *extra,
+    ]
+    if run.store_root is not None:
+        lines.append(f"shared store: {run.store_root}")
+    speedup = work_seconds / wall if wall > 0 else 0.0
     lines.append(
-        f"wall clock: {explore.wall_seconds:.2f}s for the sweep vs "
-        f"{point_seconds:.2f}s of per-point work ({speedup:.2f}x)"
+        f"wall clock: {wall:.2f}s for the {label} vs "
+        f"{work_seconds:.2f}s of per-{unit} work ({speedup:.2f}x)"
     )
-    return "\n".join(lines)
+    return lines

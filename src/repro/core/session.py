@@ -149,7 +149,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.profiler import Profile, Profiler
 from repro.core.store import ProbeLease, SessionStore
@@ -247,6 +247,20 @@ def resolve_replay_executor(kind: Optional[str] = None) -> str:
     return kind
 
 
+def make_pool(workers: int, use_processes: bool = True) -> Executor:
+    """The one worker-pool factory: a process pool of ``workers``, or a
+    thread pool when ``use_processes`` is False or the platform has no
+    multiprocessing primitives (e.g. a sandbox without sem_open) —
+    threads still run the pure-Python tasks correctly, just without
+    bypassing the GIL."""
+    if use_processes:
+        try:
+            return ProcessPoolExecutor(max_workers=workers)
+        except (ImportError, NotImplementedError, OSError):
+            pass
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 # ----------------------------------------------------------------------
 # Worker tasks.  Module-level and pure so they pickle for process pools:
 # all session state (caches, counters, windows) is merged by the caller
@@ -313,6 +327,26 @@ class SessionCounters:
             "profile_executions": self.profile_executions,
             "profile_hits": self.profile_hits,
             "profile_disk_hits": self.profile_disk_hits,
+        }
+
+    @classmethod
+    def provenance(
+        cls, counters: Iterable[Optional["SessionCounters"]]
+    ) -> Dict[str, float]:
+        """Probe provenance summed over many sessions (None entries are
+        skipped): compile + profile calls, executions, disk hits, and
+        the share of calls the persistent store answered."""
+        calls = executions = disk_hits = 0
+        for c in counters:
+            if c is not None:
+                calls += c.compile_calls + c.profile_calls
+                executions += c.compile_executions + c.profile_executions
+                disk_hits += c.compile_disk_hits + c.profile_disk_hits
+        return {
+            "probe_calls": calls,
+            "probe_executions": executions,
+            "probe_disk_hits": disk_hits,
+            "disk_reuse_rate": disk_hits / calls if calls else 0.0,
         }
 
     def render(self) -> str:
@@ -934,22 +968,9 @@ class OptimizationContext:
             pool.shutdown(wait=True)
             del self._pools[kind]
         use_processes = kind == "compile" or self.replay_executor == "process"
-        pool = self._make_pool(workers, use_processes)
+        pool = make_pool(workers, use_processes)
         self._pools[kind] = (workers, pool)
         return pool
-
-    @staticmethod
-    def _make_pool(workers: int, use_processes: bool) -> Executor:
-        if use_processes:
-            try:
-                return ProcessPoolExecutor(max_workers=workers)
-            except (ImportError, NotImplementedError, OSError):
-                # No multiprocessing primitives on this platform (e.g. a
-                # sandbox without sem_open); threads still overlap the
-                # pure-Python probes' I/O-free work correctly, just
-                # without bypassing the GIL.
-                pass
-        return ThreadPoolExecutor(max_workers=workers)
 
     def close(self) -> None:
         """Flush pending store write-backs, release any still-held

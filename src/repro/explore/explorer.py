@@ -1,15 +1,17 @@
 """The design-space explorer: every point through the full pipeline.
 
 :class:`Explorer.run` fans a :class:`~repro.explore.space.DesignSpace`'s
-points out through the existing run machinery — each point is one
-:class:`~repro.core.pipeline.SwitchRun` (serial probes, exactly like a
-fleet switch) on a process pool against **one shared persistent store**,
-so probes that overlap across design points are paid for once.  The big
-overlap is profiling: profile entries are keyed by (program, config,
-trace) with *no target in the key*, so every shape of a program answers
-its profiling probes from the first shape's replays; compile entries are
-keyed by the target's content fingerprint and are shared between points
-that differ only in phase order or policy.
+points out through the fleet's job runner,
+:func:`~repro.core.fleet.run_jobs` — the single fan-out point — as one
+job per point: a :class:`~repro.core.fleet.SwitchSpec` (serial probes,
+exactly like a fleet switch) run and scored against **one shared
+persistent store**, so probes that overlap across design points are
+paid for once.  The big overlap is profiling: profile entries are keyed
+by (program, config, trace) with *no target in the key*, so every shape
+of a program answers its profiling probes from the first shape's
+replays; compile entries are keyed by the target's content fingerprint
+and are shared between points that differ only in phase order or
+policy.
 
 Determinism contract (the fleet coordinator's, inherited):
 
@@ -33,31 +35,21 @@ Determinism contract (the fleet coordinator's, inherited):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.fleet import family_inputs
-from repro.core.pipeline import P2GOResult, SwitchRun
-from repro.core.session import (
-    OptimizationContext,
-    SessionCounters,
-    resolve_workers,
-)
-from repro.core.store import DEFAULT_LEASE_TTL, SessionStore, resolve_store
+from repro.core.fleet import SwitchSpec, family_inputs, run_jobs
+from repro.core.pipeline import P2GOResult
+from repro.core.session import SessionCounters
+from repro.core.store import SessionStore
 from repro.exceptions import ReproError
 from repro.explore.frontier import fit_breakpoints, pareto_front
 from repro.explore.space import DesignPoint, DesignSpace
-from repro.p4.program import Program
-from repro.sim.runtime import RuntimeConfig
-from repro.target.model import TargetModel
-from repro.traffic.generators import TracePacket
 
 __all__ = [
     "Explorer",
     "ExploreResult",
     "PointOutcome",
-    "PointSpec",
     "profile_coverage",
 ]
 
@@ -84,32 +76,6 @@ def profile_coverage(result: P2GOResult) -> float:
 
 
 @dataclass
-class PointSpec:
-    """One design point resolved to concrete, picklable pipeline
-    inputs (the point's program family loaded, its shape applied to
-    the family's base target)."""
-
-    point: DesignPoint
-    program: Program
-    config: RuntimeConfig
-    trace: List[TracePacket]
-    target: TargetModel
-
-    def build_run(self, lease_probes: bool = False) -> SwitchRun:
-        return SwitchRun(
-            self.program,
-            self.config,
-            self.trace,
-            self.target,
-            name=self.point.point_id,
-            phases=self.point.order,
-            workers=1,
-            lease_probes=lease_probes,
-            candidate_policy=self.point.policy,
-        )
-
-
-@dataclass
 class PointOutcome:
     """One design point's outcome.
 
@@ -126,7 +92,7 @@ class PointOutcome:
     metrics: Dict
     counters: Optional[SessionCounters]
     store_stats: Optional[dict]
-    seconds: float
+    seconds: float = 0.0
 
     @property
     def feasible(self) -> bool:
@@ -166,24 +132,16 @@ class PointOutcome:
         return payload
 
 
-def _point_task(
-    spec: PointSpec,
-    store_root: Optional[str],
-    lease_probes: bool,
-    lease_ttl: float,
+def _score_point(
+    job: Tuple[DesignPoint, SwitchSpec], store: Optional[SessionStore]
 ) -> PointOutcome:
-    """One design point end to end (runs inside a pool worker): open
-    this process's handle on the shared store, execute, score.  A
-    :class:`~repro.exceptions.ReproError` (the program cannot exist on
-    this shape) becomes an infeasible outcome; the session is closed —
-    and any held probe leases released — either way."""
-    t0 = time.perf_counter()
-    store = (
-        SessionStore(store_root, lease_ttl=lease_ttl)
-        if store_root is not None
-        else None
-    )
-    run = spec.build_run(lease_probes=lease_probes and store is not None)
+    """One design point end to end — the explorer's :func:`run_jobs`
+    task: execute, score.  A :class:`~repro.exceptions.ReproError` (the
+    program cannot exist on this shape) becomes an infeasible outcome;
+    the session is closed — and any held probe leases released — either
+    way."""
+    point, spec = job
+    run = spec.build_run(lease_probes=True)
     ctx = run.create_session(store=store)
     status, reason, metrics = "ok", None, {}
     store_stats = None
@@ -207,13 +165,12 @@ def _point_task(
             store_stats = ctx.store.stats()
         ctx.close()
     return PointOutcome(
-        point=spec.point,
+        point=point,
         status=status,
         reason=reason,
         metrics=metrics,
         counters=counters,
         store_stats=store_stats,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -227,7 +184,6 @@ class ExploreResult:
     seed: int
     workers: int
     store_root: Optional[str]
-    lease_probes: bool
     wall_seconds: float
     _aggregate: Optional[Dict] = field(default=None, repr=False)
 
@@ -271,19 +227,12 @@ class ExploreResult:
         cross-point reuse rate the shared store bought."""
         if self._aggregate is not None:
             return self._aggregate
-        calls = executions = disk_hits = 0
-        for outcome in self.outcomes:
-            counters = outcome.counters
-            if counters is not None:
-                calls += counters.compile_calls + counters.profile_calls
-                executions += (
-                    counters.compile_executions
-                    + counters.profile_executions
-                )
-                disk_hits += (
-                    counters.compile_disk_hits
-                    + counters.profile_disk_hits
-                )
+        provenance = SessionCounters.provenance(
+            outcome.counters for outcome in self.outcomes
+        )
+        provenance["disk_reuse_rate"] = round(
+            provenance["disk_reuse_rate"], 4
+        )
         frontier = self.frontier()
         self._aggregate = {
             "points": len(self.outcomes),
@@ -297,12 +246,7 @@ class ExploreResult:
             "frontier_points": sum(
                 len(front) for front in frontier.values()
             ),
-            "probe_calls": calls,
-            "probe_executions": executions,
-            "probe_disk_hits": disk_hits,
-            "disk_reuse_rate": round(
-                disk_hits / calls if calls else 0.0, 4
-            ),
+            **provenance,
         }
         return self._aggregate
 
@@ -329,6 +273,7 @@ class ExploreResult:
         }
 
 
+@dataclass
 class Explorer:
     """Run a design space through the pipeline on a process pool.
 
@@ -339,40 +284,27 @@ class Explorer:
     large grids deterministically (:meth:`DesignSpace.sample`).
     ``store`` follows :func:`~repro.core.store.resolve_store` semantics
     (instance / path / None → ``$P2GO_STORE`` / False → off); without
-    one, points still run — there is just no cross-point reuse.
-    ``workers`` sizes the coordinator pool (None → ``$P2GO_WORKERS``,
+    one, points still run — there is just no cross-point reuse.  With
+    one, points always lease their probes.  ``workers`` sizes the
+    :func:`~repro.core.fleet.run_jobs` pool (None → ``$P2GO_WORKERS``,
     then 1); per-point sessions probe serially, exactly like fleet
     switches, so parallelism lives at point granularity.
     """
 
-    def __init__(
-        self,
-        space: DesignSpace,
-        packets: Optional[int] = None,
-        trace_seed: int = 0,
-        sample: Optional[int] = None,
-        seed: int = 0,
-        workers: Optional[int] = None,
-        store: Union[SessionStore, str, bool, None] = None,
-        lease_probes: bool = True,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-    ):
-        self.space = space
-        self.packets = packets
-        self.trace_seed = trace_seed
-        self.sample = sample
-        self.seed = seed
-        self.workers = workers
-        self.store = store
-        self.lease_probes = lease_probes
-        self.lease_ttl = lease_ttl
+    space: DesignSpace
+    packets: Optional[int] = None
+    trace_seed: int = 0
+    sample: Optional[int] = None
+    seed: int = 0
+    workers: Optional[int] = None
+    store: Union[SessionStore, str, bool, None] = None
 
     def points(self) -> List[DesignPoint]:
         if self.sample is not None:
             return self.space.sample(self.sample, self.seed)
         return self.space.points()
 
-    def build_specs(self) -> List[PointSpec]:
+    def build_specs(self) -> List[Tuple[DesignPoint, SwitchSpec]]:
         """The sweep's points resolved to concrete inputs, in
         submission order.  Family inputs are loaded once per program
         (one trace per program — see the class docstring)."""
@@ -385,56 +317,33 @@ class Explorer:
         specs = []
         for point in self.points():
             program, config, trace, base_target = inputs[point.program]
-            specs.append(
-                PointSpec(
-                    point=point,
+            specs.append((
+                point,
+                SwitchSpec(
+                    name=point.point_id,
                     program=program,
                     config=config,
                     trace=trace,
                     target=point.shape.apply(base_target),
-                )
-            )
+                    phases=point.order,
+                    candidate_policy=point.policy,
+                ),
+            ))
         return specs
 
     def run(self) -> ExploreResult:
         """Execute the sweep; outcomes merge in submission order."""
-        specs = self.build_specs()
-        workers = resolve_workers(self.workers)
-        resolved = resolve_store(self.store)
-        store_root = None if resolved is None else str(resolved.root)
-        t0 = time.perf_counter()
-        if workers == 1 or len(specs) <= 1:
-            outcomes = [
-                _point_task(
-                    spec, store_root, self.lease_probes, self.lease_ttl
-                )
-                for spec in specs
-            ]
-        else:
-            pool = OptimizationContext._make_pool(
-                min(workers, len(specs)), use_processes=True
-            )
-            try:
-                futures = [
-                    pool.submit(
-                        _point_task,
-                        spec,
-                        store_root,
-                        self.lease_probes,
-                        self.lease_ttl,
-                    )
-                    for spec in specs
-                ]
-                outcomes = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True)
+        jobs = run_jobs(
+            self.build_specs(), _score_point, self.store, self.workers
+        )
+        for outcome, seconds in zip(jobs.results, jobs.seconds):
+            outcome.seconds = seconds
         return ExploreResult(
-            outcomes=outcomes,
+            outcomes=jobs.results,
             space=self.space,
             sample=self.sample,
             seed=self.seed,
-            workers=workers,
-            store_root=store_root,
-            lease_probes=self.lease_probes and store_root is not None,
-            wall_seconds=time.perf_counter() - t0,
+            workers=jobs.workers,
+            store_root=jobs.store_root,
+            wall_seconds=jobs.wall_seconds,
         )

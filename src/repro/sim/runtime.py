@@ -257,6 +257,68 @@ class RuntimeConfig:
             enable_fastpath=self.enable_fastpath,
         )
 
+    def to_json(self) -> dict:
+        """This config in the runtime-config JSON schema (the CLI's
+        ``--config`` files, fuzz repro files); :meth:`from_json` reads it."""
+        return {
+            "entries": {
+                table: [
+                    {
+                        "match": [
+                            list(m) if isinstance(m, tuple) else m
+                            for m in entry.match
+                        ],
+                        "action": entry.action,
+                        "args": list(entry.action_args),
+                        "priority": entry.priority,
+                    }
+                    for entry in entries
+                ]
+                for table, entries in self.entries.items()
+            },
+            "defaults": {
+                table: {"action": action, "args": list(args)}
+                for table, (action, args) in self.default_overrides.items()
+            },
+            "register_inits": [
+                [reg, index, value]
+                for reg, index, value in self.register_inits
+            ],
+            "hashed_inits": [
+                [reg, algo, [list(k) for k in key], value]
+                for reg, algo, key, value in self.hashed_inits
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "RuntimeConfig":
+        """A config from the runtime-config JSON schema (:meth:`to_json`)."""
+        config = cls()
+        for table, entries in data.get("entries", {}).items():
+            for entry in entries:
+                match = [
+                    tuple(m) if isinstance(m, list) else m
+                    for m in entry["match"]
+                ]
+                config.add_entry(
+                    table,
+                    match,
+                    entry["action"],
+                    entry.get("args", []),
+                    entry.get("priority", 0),
+                )
+        for table, default in data.get("defaults", {}).items():
+            config.set_default(
+                table, default["action"], default.get("args", [])
+            )
+        for reg, index, value in data.get("register_inits", []):
+            config.init_register(reg, index, value)
+        for reg, algo, key, value in data.get("hashed_inits", []):
+            config.init_register_hashed(
+                reg, algo, [tuple(k) for k in key], value
+            )
+        return config
+
     def restricted_to(self, tables: Sequence[str]) -> "RuntimeConfig":
         """Entries for a subset of tables (used for offloaded segments).
 

@@ -509,3 +509,48 @@ class TestServe:
              "--trace", str(trace_path), "--feed", "generator"]
         ) == 2
         assert "feed generator" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad flag values are argparse usage errors: exit 2, one
+    ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--size", "0"],
+            ["fleet", "--workers", "0"],
+            ["explore", "--workers", "0"],
+            ["optimize", "p.p4", "--trace", "t.pcap", "--phases", "2,x"],
+            ["optimize", "p.p4", "--trace", "t.pcap", "--phases", "5"],
+            ["serve", "--feed", "socket", "--listen", "foo"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert len([l for l in err.splitlines() if "error:" in l]) == 1
+        assert "Traceback" not in err
+
+    def test_serve_workers_zero_stays_valid(self):
+        args = build_arg_parser().parse_args(["serve", "--workers", "0"])
+        assert args.workers == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["optimize", "p.p4", "--trace", "t.pcap"],
+            ["fleet"],
+            ["explore"],
+            ["serve"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_store_and_no_store_are_exclusive(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--store", "somewhere", "--no-store"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err

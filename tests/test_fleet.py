@@ -15,11 +15,13 @@ from repro.core.fleet import (
     FleetResult,
     build_fabric,
     run_fleet,
+    run_jobs,
     switch_fingerprint,
 )
 from repro.core.pipeline import P2GO
 from repro.core.report import render_fleet_report
 from repro.core.session import trace_fingerprint
+from repro.core.store import SessionStore
 
 #: Small per-switch traces: the fabric below runs ~15 pipeline phases.
 PACKETS = 160
@@ -217,3 +219,37 @@ class TestFleetResultShape:
         assert isinstance(fleet_parallel, FleetResult)
         assert fleet_parallel.workers == 3
         assert fleet_parallel.lease_probes is True
+
+
+def _echo_job(spec, store):
+    """A cheap, picklable run_jobs task: what the job saw."""
+    assert isinstance(store, SessionStore)
+    return spec * 10, str(store.root)
+
+
+class TestRunJobs:
+    """The one fan-out point fleet and explore share."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_submission_order_and_shared_root(self, workers, tmp_path):
+        root = tmp_path / "store"
+        jobs = run_jobs(range(5), _echo_job, store=root, workers=workers)
+        assert jobs.results == [(i * 10, str(root)) for i in range(5)]
+        assert len(jobs.seconds) == 5
+        assert jobs.workers == workers
+        assert jobs.store_root == str(root)
+        assert jobs.wall_seconds > 0
+
+    def test_serial_and_pool_paths_agree(self, tmp_path):
+        root = tmp_path / "store"
+        serial = run_jobs(range(4), _echo_job, store=root, workers=1)
+        pooled = run_jobs(range(4), _echo_job, store=root, workers=2)
+        assert serial.results == pooled.results
+
+    def test_storeless_jobs_get_none(self):
+        jobs = run_jobs(
+            ["a", "b"], lambda spec, store: (spec, store), store=False,
+            workers=1,
+        )
+        assert jobs.results == [("a", None), ("b", None)]
+        assert jobs.store_root is None
